@@ -703,6 +703,16 @@ func (l *Lab) RestartReplicaFromDisk(i int) (*sqldb.RecoveryInfo, error) {
 	if l.walDirs[i] == "" {
 		return nil, fmt.Errorf("core: replica %d has no data directory (set DBDataDir)", i)
 	}
+	// Let go of the dead engine and its server before recovery allocates
+	// the successor, so the collector can reclaim them meanwhile instead of
+	// the recovered rows settling between dead ones. Until recovery
+	// succeeds the slot holds an empty engine behind a closed server.
+	l.dbSrvs[i].Close()
+	l.dbs[i].CloseWAL() // the predecessor's flusher, if still alive
+	l.dbs[i] = sqldb.New()
+	l.dbSrvs[i] = wire.NewServer(l.dbs[i], l.cfg.Logger)
+	l.dbSrvs[i].Close()
+
 	db := sqldb.New()
 	info, err := db.AttachWAL(l.walOpts(i, l.walDirs[i]))
 	if err != nil {
@@ -713,7 +723,6 @@ func (l *Lab) RestartReplicaFromDisk(i int) (*sqldb.RecoveryInfo, error) {
 		db.CloseWAL()
 		return nil, err
 	}
-	l.dbs[i].CloseWAL() // the predecessor's flusher, if still alive
 	l.dbs[i] = db
 	l.dbSrvs[i] = srv
 	return info, nil

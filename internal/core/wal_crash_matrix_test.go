@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -253,5 +254,32 @@ func TestWALCrashMatrix(t *testing.T) {
 				t.Fatalf("tier WAL counters empty: %+v", dt)
 			}
 		})
+	}
+}
+
+// TestRecoverReleasesCrashedEngine: once a crashed backend is
+// recovered from its data directory, nothing in the lab may still reach the
+// dead engine — its memory must go back to the collector rather than sit
+// beside the recovered copy.
+func TestRecoverReleasesCrashedEngine(t *testing.T) {
+	lab := walLab(t, Config{})
+	freed := make(chan struct{})
+	runtime.SetFinalizer(lab.ReplicaDB(0), func(*sqldb.DB) { close(freed) })
+	if err := lab.CrashReplica(0); err != nil {
+		t.Fatal(err)
+	}
+	restartFromDiskOrSkip(t, lab, 0)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the crashed engine is still reachable after recovery")
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }

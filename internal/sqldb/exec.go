@@ -404,7 +404,7 @@ func execDelete(t *Table, st *sqlparse.Delete, args []Value, tx *txn) (*Result, 
 // matchRows returns the rowids satisfying where (all rows when where is
 // nil), using an index for top-level equality conjuncts when possible.
 func matchRows(t *Table, where sqlparse.Expr, args []Value) ([]int64, error) {
-	cands, indexed, err := candidateIDs(t, where, args)
+	cands, indexed, err := candidateIDs(t, t.name, where, args)
 	if err != nil {
 		return nil, err
 	}
@@ -440,8 +440,11 @@ func matchRows(t *Table, where sqlparse.Expr, args []Value) ([]int64, error) {
 }
 
 // candidateIDs inspects the WHERE clause for an equality conjunct on an
-// indexed column of t and returns the posting list when one is found.
-func candidateIDs(t *Table, where sqlparse.Expr, args []Value) ([]int64, bool, error) {
+// indexed column of t and returns the posting list when one is found. qual
+// is the name the statement binds t under — its alias in a SELECT's FROM
+// clause, else the table name — and the only qualifier that names t's
+// columns.
+func candidateIDs(t *Table, qual string, where sqlparse.Expr, args []Value) ([]int64, bool, error) {
 	var walk func(e sqlparse.Expr) ([]int64, bool, error)
 	walk = func(e sqlparse.Expr) ([]int64, bool, error) {
 		be, ok := e.(*sqlparse.BinaryExpr)
@@ -463,7 +466,7 @@ func candidateIDs(t *Table, where sqlparse.Expr, args []Value) ([]int64, bool, e
 			if !isCol || !constExpr(val) {
 				return nil, false, nil
 			}
-			if cr.Table != "" && !strings.EqualFold(cr.Table, t.name) {
+			if cr.Table != "" && !strings.EqualFold(cr.Table, qual) {
 				return nil, false, nil
 			}
 			ci, err := t.colOf(cr.Column)
@@ -628,7 +631,8 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 	}
 
 	// Nested-loop join over From and Joins, index-accelerated on the From
-	// table's WHERE equalities and each join's ON equality.
+	// table's WHERE equalities (qualified by its alias, when it has one) and
+	// each join's ON equality.
 	var joinLevel func(level int) error
 	joinLevel = func(level int) error {
 		if level == len(tabs) {
@@ -645,7 +649,7 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 		}
 		t := tabs[level]
 		if level == 0 {
-			cands, indexed, err := candidateIDs(t, st.Where, args)
+			cands, indexed, err := candidateIDs(t, aliases[0], st.Where, args)
 			if err != nil {
 				return err
 			}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"repro/internal/sqldb/sqlparse"
 )
 
 func TestLikeMatchPatterns(t *testing.T) {
@@ -61,27 +59,14 @@ func TestLikeMatchPatterns(t *testing.T) {
 	}
 }
 
-// whereOf parses a SELECT and returns its WHERE expression.
-func whereOf(t *testing.T, query string) sqlparse.Expr {
-	t.Helper()
-	stmt, err := sqlparse.Parse(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return stmt.(*sqlparse.Select).Where
-}
-
 // TestCandidateIDsIndexSelection checks when the executor takes an index
-// posting list versus a full scan.
+// posting list versus a full scan for the FROM table.
 func TestCandidateIDsIndexSelection(t *testing.T) {
 	db, s := testDB(t)
 	defer s.Close()
 	mustExec(t, s, "INSERT INTO items (name, category, price, stock) VALUES"+
 		" ('a', 1, 10, 1), ('b', 2, 20, 2), ('c', 2, 30, 3), ('d', 3, 40, 4)")
-	tbl, err := db.Table("items")
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustExec(t, s, "INSERT INTO bids (item_id, user_id, bid) VALUES (1, 7, 11), (2, 7, 21)")
 
 	cases := []struct {
 		name    string
@@ -104,10 +89,31 @@ func TestCandidateIDsIndexSelection(t *testing.T) {
 		// A key absent from the index still resolves through it: the empty
 		// posting list means "no rows", not "fall back to a scan".
 		{"miss in index", "SELECT id FROM items WHERE category = 99", nil, true, 0},
+
+		// Once the FROM table is aliased, the alias is the qualifier that
+		// names its columns.
+		{"alias-qualified", "SELECT i.id FROM items i WHERE i.category = 2", nil, true, 2},
+		{"alias, bare column", "SELECT id FROM items i WHERE category = 2", nil, true, 2},
+		{"alias-qualified join", "SELECT i.name, b.bid FROM items i JOIN bids b ON b.item_id = i.id" +
+			" WHERE i.id = ?", []Value{Int(2)}, true, 1},
+		{"alias-qualified posting list", "SELECT b.bid, i.name FROM bids b JOIN items i ON i.id = b.item_id" +
+			" WHERE b.item_id = ? ORDER BY b.id DESC", []Value{Int(1)}, true, 1},
+		{"joined table's column", "SELECT i.id FROM items i JOIN bids b ON b.item_id = i.id" +
+			" WHERE b.item_id = 1", nil, false, 0},
+		{"unaliased join", "SELECT items.id FROM items JOIN bids b ON b.item_id = items.id" +
+			" WHERE items.id = 1", nil, true, 1},
+		// A self-join binds one table under two aliases: only the FROM
+		// alias's predicate may narrow level 0.
+		{"self-join, joined alias", "SELECT a.id FROM items a JOIN items b ON b.category = a.category" +
+			" WHERE b.id = 1", nil, false, 0},
+		{"self-join, FROM alias", "SELECT a.id FROM items a JOIN items b ON b.category = a.category" +
+			" WHERE a.id = 1", nil, true, 1},
+		{"self-join, both aliases", "SELECT a.id FROM items a JOIN items b ON b.category = a.category" +
+			" WHERE b.id = 2 AND a.id = 3", nil, true, 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			ids, indexed, err := candidateIDs(tbl, whereOf(t, c.query), c.args)
+			ids, indexed, err := FromIndexed(db, c.query, c.args...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -158,6 +158,21 @@ func (t *Table) refreshSnap(db *DB, timed bool) (*Table, error) {
 	return sp, nil
 }
 
+// retireSnap swaps the stale snapshot sp of a write-hot table for a hollow
+// one that keeps only its version. The table stays marked write-hot — the
+// installed snapshot is still stale and has served fewer than
+// snapRefreshMin reads — but the copied row map and indexes, which no
+// reader will use again, go to the collector. A current snapshot is left
+// alone (a concurrent refresh may have just installed it); a stale one
+// stays stale, since versions only grow, so the hollow copy is never
+// served.
+func (t *Table) retireSnap(sp *Table) {
+	if sp.rows == nil || sp.snapSeq == t.version.Load() {
+		return
+	}
+	t.snap.CompareAndSwap(sp, &Table{name: sp.name, snapSeq: sp.snapSeq})
+}
+
 // snapshots resolves a view for every table of a read-only statement.
 // Tables whose installed snapshot is current are served without any
 // lock-manager interaction; a stale one pays one refresh — unless the dying
@@ -177,7 +192,8 @@ func (s *Session) snapshots(tabs []*Table, timed bool) ([]*Table, func(), error)
 			bypassed++
 			continue
 		}
-		if t.snap.Load() != nil && t.snapHits.Load() < snapRefreshMin {
+		if sp := t.snap.Load(); sp != nil && t.snapHits.Load() < snapRefreshMin {
+			t.retireSnap(sp)
 			live = append(live, t) // write-hot: views[i] filled below
 			continue
 		}

@@ -268,3 +268,113 @@ func TestMVCCResultsImmutableAfterWrite(t *testing.T) {
 		t.Fatalf("held result mutated by later writes: bal %d, want 100", got)
 	}
 }
+
+// TestMVCCWriteHotSnapshotReleased: once the adaptive policy routes a
+// write-hot table's reads to the live path, the stale clone it installed
+// is swapped for a hollow one — no rows, scan order or indexes held — and
+// reads keep taking the live path and seeing every commit.
+func TestMVCCWriteHotSnapshotReleased(t *testing.T) {
+	db := mvccDB(t)
+	s := db.NewSession()
+	defer s.Close()
+	tbl, err := db.Table("acct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustTx(t, s, "SELECT * FROM acct") // builds the first snapshot
+	if sp := tbl.snap.Load(); sp == nil || len(sp.rows) != 2 {
+		t.Fatalf("first snapshot not built: %+v", sp)
+	}
+	before := db.MVCCStats()
+	for i := 1; i <= 5; i++ {
+		// Each commit kills the snapshot before it served a read.
+		mustTx(t, s, "UPDATE acct SET bal = bal + 1 WHERE id = 1")
+		res := mustTx(t, s, "SELECT bal FROM acct WHERE id = 1")
+		if len(res.Rows) != 1 || res.Rows[0][0].AsInt() != int64(100+i) {
+			t.Fatalf("round %d: read %v, want %d", i, res.Rows, 100+i)
+		}
+		sp := tbl.snap.Load()
+		if sp == nil {
+			t.Fatalf("round %d: the table lost its write-hot mark", i)
+		}
+		if sp.rows != nil || sp.indexes != nil || sp.rowOrder != nil {
+			t.Fatalf("round %d: stale snapshot still holds %d rows, %d indexes", i, len(sp.rows), len(sp.indexes))
+		}
+	}
+	after := db.MVCCStats()
+	if got := after.LiveFallbacks - before.LiveFallbacks; got != 5 {
+		t.Fatalf("LiveFallbacks advanced by %d, want 5", got)
+	}
+	if after.Refreshes != before.Refreshes {
+		t.Fatalf("write-hot table was recloned: %+v", after)
+	}
+}
+
+// TestLiveScansDuringDeletes runs full scans of a write-hot table — live
+// reads under shared locks — concurrently with deletes and inserts (run
+// with -race). Scans must never write the table: a scan that compacted
+// the scan order in place under a shared lock raced the other readers and
+// could emit a row twice or drop one.
+func TestLiveScansDuringDeletes(t *testing.T) {
+	db := New()
+	s := db.NewSession()
+	defer s.Close()
+	mustTx(t, s, "CREATE TABLE q (id INT PRIMARY KEY AUTO_INCREMENT, v INT)")
+	const rows = 64
+	for i := 0; i < rows; i++ {
+		mustTx(t, s, "INSERT INTO q (v) VALUES (?)", Int(int64(i)))
+	}
+	// A snapshot that dies unread marks the table write-hot for good.
+	mustTx(t, s, "SELECT id FROM q")
+	mustTx(t, s, "UPDATE q SET v = 0 WHERE id = 1")
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		w := db.NewSession()
+		defer w.Close()
+		for i := 0; i < 400; i++ {
+			// Delete the oldest row, then replace it: between statements
+			// the table holds rows-1 or rows rows.
+			if _, err := w.Exec("DELETE FROM q WHERE id = ?", Int(int64(i+1))); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := w.Exec("INSERT INTO q (v) VALUES (?)", Int(int64(rows+i))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rs := db.NewSession()
+			defer rs.Close()
+			for i := 0; i < 200; i++ {
+				res, err := rs.Exec("SELECT id FROM q")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				seen := make(map[int64]bool, len(res.Rows))
+				for _, row := range res.Rows {
+					if seen[row[0].AsInt()] {
+						t.Errorf("scan emitted row %d twice", row[0].AsInt())
+						return
+					}
+					seen[row[0].AsInt()] = true
+				}
+				if n := len(res.Rows); n != rows && n != rows-1 {
+					t.Errorf("scan saw %d rows, want %d or %d", n, rows-1, rows)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := db.MVCCStats().LiveFallbacks; got < 4*200 {
+		t.Fatalf("%d live reads, want every scan on the live path", got)
+	}
+}

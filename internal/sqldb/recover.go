@@ -81,7 +81,6 @@ func (db *DB) AttachWAL(opts WALOptions) (*RecoveryInfo, error) {
 		return nil, err
 	}
 	w := &WAL{
-		db:         db,
 		dir:        opts.Dir,
 		fault:      opts.Fault,
 		flushEvery: opts.FlushInterval,
@@ -98,6 +97,7 @@ func (db *DB) AttachWAL(opts WALOptions) (*RecoveryInfo, error) {
 	if w.ckptBytes == 0 {
 		w.ckptBytes = defaultCheckpointBytes
 	}
+	w.db.Store(db)
 
 	ckpts, segFirsts, err := scanWALDir(opts.Dir)
 	if err != nil {

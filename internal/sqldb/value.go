@@ -11,6 +11,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -25,11 +26,15 @@ const (
 	KindString
 )
 
-// Value is a dynamically typed SQL value. The zero value is NULL.
+// Value is a dynamically typed SQL value. The zero value is NULL. An
+// integer or a float's IEEE-754 bits share the one word n, keeping a Value
+// at 32 bytes: rows are Value slices, so this is the engine's unit of
+// storage. The engine never compares Values with == or keys a map by them
+// (indexes key by indexKey, which holds the float itself), so floats that
+// are equal but differ in bits, 0 and -0, still compare and index as equal.
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
+	n    uint64
 	s    string
 }
 
@@ -37,10 +42,10 @@ type Value struct {
 func Null() Value { return Value{} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // Float returns a float value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // String returns a string value.
 func String(v string) Value { return Value{kind: KindString, s: v} }
@@ -51,13 +56,17 @@ func (v Value) Kind() Kind { return v.kind }
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
+// int and float read n as the kind's payload; callers check the kind.
+func (v Value) int() int64     { return int64(v.n) }
+func (v Value) float() float64 { return math.Float64frombits(v.n) }
+
 // AsInt converts to int64 (strings parse; NULL is 0).
 func (v Value) AsInt() int64 {
 	switch v.kind {
 	case KindInt:
-		return v.i
+		return v.int()
 	case KindFloat:
-		return int64(v.f)
+		return int64(v.float())
 	case KindString:
 		n, _ := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
 		return n
@@ -70,9 +79,9 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i)
+		return float64(v.int())
 	case KindFloat:
-		return v.f
+		return v.float()
 	case KindString:
 		f, _ := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
 		return f
@@ -85,9 +94,9 @@ func (v Value) AsFloat() float64 {
 func (v Value) AsString() string {
 	switch v.kind {
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	default:
@@ -99,9 +108,9 @@ func (v Value) AsString() string {
 func (v Value) Truthy() bool {
 	switch v.kind {
 	case KindInt:
-		return v.i != 0
+		return v.int() != 0
 	case KindFloat:
-		return v.f != 0
+		return v.float() != 0
 	case KindString:
 		return v.s != ""
 	default:

@@ -148,7 +148,11 @@ type walSegment struct {
 // WAL is an attached write-ahead log. All fields after construction are
 // guarded as annotated; sessions only touch append/WaitDurable.
 type WAL struct {
-	db    *DB
+	// db is the engine the log checkpoints. Close clears it: a closed log
+	// checkpoints nothing, and breaking the DB ↔ WAL cycle lets a finalizer
+	// on a dropped engine run (Go never finalizes an object reachable from
+	// itself).
+	db    atomic.Pointer[DB]
 	dir   string
 	fault *walfault.Hook
 
@@ -265,10 +269,8 @@ func appendWALValue(b []byte, v Value) []byte {
 	b = append(b, byte(v.kind))
 	switch v.kind {
 	case KindNull:
-	case KindInt:
-		b = binary.LittleEndian.AppendUint64(b, uint64(v.i))
-	case KindFloat:
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.f))
+	case KindInt, KindFloat:
+		b = binary.LittleEndian.AppendUint64(b, v.n) // the int or the float's bits
 	case KindString:
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(v.s)))
 		b = append(b, v.s...)
@@ -623,6 +625,7 @@ func (w *WAL) Close() error {
 	w.closed = true
 	f, crashed := w.f, w.crashed
 	w.mu.Unlock()
+	w.db.Store(nil)
 	var err error
 	if f != nil {
 		if !crashed {
@@ -665,7 +668,10 @@ func (w *WAL) maybeCheckpoint() {
 func (w *WAL) Checkpoint() error {
 	w.ckptMu.Lock()
 	defer w.ckptMu.Unlock()
-	db := w.db
+	db := w.db.Load()
+	if db == nil {
+		return ErrWALCrashed // closed: the same answer a closed log gives below
+	}
 
 	// Quiesce appends: every append happens under a table write lock or the
 	// catalog write lock, so holding the catalog read lock plus every

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -101,6 +102,50 @@ func TestResultEncodingRoundtrip(t *testing.T) {
 	}
 	if out.Rows[1][1].AsFloat() != 3.25 {
 		t.Fatalf("row: %+v", out.Rows[1])
+	}
+}
+
+// TestValueEdgesRoundtrip sends the extremes of every value kind through
+// both directions of the protocol, as arguments and as result cells, and
+// requires them back bit for bit (-0 keeps its sign, NaN stays NaN).
+func TestValueEdgesRoundtrip(t *testing.T) {
+	vals := []sqldb.Value{
+		sqldb.Null(), sqldb.Int(math.MinInt64), sqldb.Int(math.MaxInt64), sqldb.Int(-1),
+		sqldb.Float(math.Copysign(0, -1)), sqldb.Float(math.Inf(1)), sqldb.Float(math.Inf(-1)),
+		sqldb.Float(math.NaN()), sqldb.String(""),
+	}
+	same := func(a, b sqldb.Value) bool {
+		if a.Kind() != b.Kind() {
+			return false
+		}
+		switch a.Kind() {
+		case sqldb.KindInt:
+			return a.AsInt() == b.AsInt()
+		case sqldb.KindFloat:
+			return math.Float64bits(a.AsFloat()) == math.Float64bits(b.AsFloat())
+		default:
+			return a.AsString() == b.AsString()
+		}
+	}
+	var e enc
+	encodeQuery(&e, "SELECT ?", vals)
+	_, args, err := decodeQuery(e.b)
+	if err != nil || len(args) != len(vals) {
+		t.Fatalf("args: %v (%d)", err, len(args))
+	}
+	var re enc
+	encodeResult(&re, &sqldb.Result{Columns: []string{"v"}, Rows: []sqldb.Row{vals}})
+	res, err := decodeResult(re.b, nil)
+	if err != nil || len(res.Rows) != 1 || len(res.Rows[0]) != len(vals) {
+		t.Fatalf("result: %v %+v", err, res)
+	}
+	for i, v := range vals {
+		if !same(args[i], v) {
+			t.Errorf("arg %d: got %v, want %v", i, args[i], v)
+		}
+		if !same(res.Rows[0][i], v) {
+			t.Errorf("cell %d: got %v, want %v", i, res.Rows[0][i], v)
+		}
 	}
 }
 
