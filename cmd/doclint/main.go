@@ -9,6 +9,10 @@
 //     servletd, webserver, ... alongside the backticked flag) must be
 //     registered by that daemon's cmd/<name>/main.go — documented flags
 //     that no binary accepts fail the build.
+//  4. Every JSON key of the /status entry types (the element types of
+//     telemetry.Snapshot's slices: Tier, Replica, AppBackend) must appear
+//     in README's "`/status` field glossary" table — a counter added to
+//     the schema without a glossary row fails the build.
 //
 // Usage:
 //
@@ -25,6 +29,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -56,6 +61,7 @@ func main() {
 	}
 	bad += checkPackageComments("internal")
 	bad += checkFlagDocs(files)
+	bad += checkStatusGlossary("README.md", filepath.Join("internal", "telemetry", "telemetry.go"))
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "doclint: %d problem(s)\n", bad)
 		os.Exit(1)
@@ -240,4 +246,93 @@ func checkPackageComments(root string) int {
 		}
 	}
 	return bad
+}
+
+// checkStatusGlossary verifies that every JSON key of the /status entry
+// types is documented in readme's glossary table. The entry types and
+// their row prefixes come from src's Snapshot struct: its field
+// Tiers []Tier tagged json:"tiers" makes Tier's keys "tiers[].<key>".
+func checkStatusGlossary(readme, src string) int {
+	af, err := parser.ParseFile(token.NewFileSet(), src, nil, 0)
+	if err != nil {
+		return 0 // not run from the repo root; nothing to check against
+	}
+	structs := map[string]*ast.StructType{}
+	ast.Inspect(af, func(n ast.Node) bool {
+		if ts, ok := n.(*ast.TypeSpec); ok {
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				structs[ts.Name.Name] = st
+			}
+		}
+		return true
+	})
+	if structs["Snapshot"] == nil {
+		fmt.Fprintf(os.Stderr, "doclint: %s: no Snapshot struct\n", src)
+		return 1
+	}
+	data, err := os.ReadFile(readme)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+		return 1
+	}
+	documented := glossaryKeys(string(data))
+	bad := 0
+	for _, f := range structs["Snapshot"].Fields.List {
+		arr, ok := f.Type.(*ast.ArrayType)
+		if !ok {
+			continue
+		}
+		elem, ok := arr.Elt.(*ast.Ident)
+		if !ok || structs[elem.Name] == nil {
+			continue
+		}
+		prefix := jsonKey(f) + "[]."
+		for _, ef := range structs[elem.Name].Fields.List {
+			if key := jsonKey(ef); key != "" && !documented[prefix+key] {
+				fmt.Fprintf(os.Stderr, "doclint: %s: /status key %s%s (telemetry.%s) has no glossary row\n",
+					readme, prefix, key, elem.Name)
+				bad++
+			}
+		}
+	}
+	return bad
+}
+
+// jsonKey returns a struct field's JSON key ("" when it has none).
+func jsonKey(f *ast.Field) string {
+	tag := ""
+	if f.Tag != nil {
+		tag, _ = strconv.Unquote(f.Tag.Value)
+	}
+	key, _, _ := strings.Cut(reflect.StructTag(tag).Get("json"), ",")
+	if key == "-" {
+		return ""
+	}
+	return key
+}
+
+// tickRe matches one backticked token.
+var tickRe = regexp.MustCompile("`([^`]+)`")
+
+// glossaryKeys collects the "prefix[].key" names the rows of the
+// "`/status` field glossary" table document. A row's first backticked
+// token sets its prefix (`tiers[].requests` or `replicas[]`); every
+// token in the row then names a key, spelled in full or bare (`queries`).
+func glossaryKeys(readme string) map[string]bool {
+	keys := map[string]bool{}
+	in := false
+	for _, line := range strings.Split(readme, "\n") {
+		if strings.HasPrefix(line, "#") {
+			in = strings.Contains(line, "`/status` field glossary")
+		}
+		toks := tickRe.FindAllStringSubmatch(line, -1)
+		if !in || !strings.HasPrefix(line, "|") || len(toks) == 0 {
+			continue
+		}
+		prefix, _, _ := strings.Cut(toks[0][1], ".")
+		for _, tk := range toks {
+			keys[prefix+"."+strings.TrimPrefix(tk[1], prefix+".")] = true
+		}
+	}
+	return keys
 }

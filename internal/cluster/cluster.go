@@ -170,72 +170,16 @@ type Client struct {
 	walDeltaStmts atomic.Int64
 }
 
-// ClientStats reports the client's broadcast batching and read-only
-// transaction counters: Broadcasts is the number of write fan-outs,
-// BroadcastAcks the per-replica acknowledgements they collected (acks ÷
-// broadcasts = average batch size), ReadOnlyTxns the transactions that ran
-// on one replica without any write-order locks.
-type ClientStats struct {
-	Broadcasts    int64 `json:"broadcasts"`
-	BroadcastAcks int64 `json:"broadcast_acks"`
-	ReadOnlyTxns  int64 `json:"readonly_txns"`
-	// SlowEjections counts replicas ejected for lagging SlowThreshold
-	// behind the pack rather than transport-failing. The Degraded* fields
-	// track the strict-policy read-only latch: entries/exits count mode
-	// flips, rejects counts writes fast-failed with ErrDegraded, and
-	// Degraded is the latch's current state.
-	SlowEjections   int64 `json:"slow_ejections,omitempty"`
-	DegradedEntries int64 `json:"degraded_entries,omitempty"`
-	DegradedExits   int64 `json:"degraded_exits,omitempty"`
-	DegradedRejects int64 `json:"degraded_rejects,omitempty"`
-	Degraded        bool  `json:"degraded,omitempty"`
-	// Query-result cache counters (zero when the cache is disabled):
-	// hits served from a validated entry, misses that went to a replica,
-	// invalidations of entries whose table versions moved, and bypasses —
-	// reads forced live because the session's transaction write-held a
-	// referenced table.
-	QueryCacheHits          int64 `json:"query_cache_hits,omitempty"`
-	QueryCacheMisses        int64 `json:"query_cache_misses,omitempty"`
-	QueryCacheInvalidations int64 `json:"query_cache_invalidations,omitempty"`
-	QueryCacheBypasses      int64 `json:"query_cache_bypasses,omitempty"`
-	// Shard routing counters (set only on a sharded client, shard.go):
-	// statements pinned to one owning shard, scatter-gather SELECT
-	// fan-outs, cross-shard broadcast writes/DDL, and transactions
-	// committed via two-phase commit.
-	Shards         int   `json:"shards,omitempty"`
-	ShardSingle    int64 `json:"shard_single,omitempty"`
-	ShardScatter   int64 `json:"shard_scatter,omitempty"`
-	ShardBroadcast int64 `json:"shard_broadcast,omitempty"`
-	Shard2PCTxns   int64 `json:"shard_2pc_txns,omitempty"`
-	// Rejoin data-copy counters: delta syncs served by WAL log shipping
-	// (and the statements they replayed) versus full table copies.
-	WALDeltaSyncs int64 `json:"wal_delta_syncs,omitempty"`
-	WALFullSyncs  int64 `json:"wal_full_syncs,omitempty"`
-	WALDeltaStmts int64 `json:"wal_delta_stmts,omitempty"`
-}
-
-// ClientStats snapshots the counters. A sharded client sums its inner
-// clients' counters and adds the shard routing view.
-func (c *Client) ClientStats() ClientStats {
+// ClientStats snapshots the client's counters as the cluster-owned fields
+// of a telemetry.Tier: broadcast batching and read-only transactions,
+// slow ejections and the degraded latch, the query-result cache, rejoin
+// data-copy paths and, on a sharded client, shard routing. A sharded
+// client sums its inner clients and adds the shard routing view.
+func (c *Client) ClientStats() telemetry.Tier {
 	if c.sh != nil {
-		var s ClientStats
+		var s telemetry.Tier
 		for _, in := range c.sh.shards {
-			is := in.ClientStats()
-			s.Broadcasts += is.Broadcasts
-			s.BroadcastAcks += is.BroadcastAcks
-			s.ReadOnlyTxns += is.ReadOnlyTxns
-			s.SlowEjections += is.SlowEjections
-			s.DegradedEntries += is.DegradedEntries
-			s.DegradedExits += is.DegradedExits
-			s.DegradedRejects += is.DegradedRejects
-			s.Degraded = s.Degraded || is.Degraded
-			s.QueryCacheHits += is.QueryCacheHits
-			s.QueryCacheMisses += is.QueryCacheMisses
-			s.QueryCacheInvalidations += is.QueryCacheInvalidations
-			s.QueryCacheBypasses += is.QueryCacheBypasses
-			s.WALDeltaSyncs += is.WALDeltaSyncs
-			s.WALFullSyncs += is.WALFullSyncs
-			s.WALDeltaStmts += is.WALDeltaStmts
+			s.Add(in.ClientStats())
 		}
 		s.Shards = len(c.sh.shards)
 		s.ShardSingle = c.sh.single.Load()
@@ -244,7 +188,7 @@ func (c *Client) ClientStats() ClientStats {
 		s.Shard2PCTxns = c.sh.txns2pc.Load()
 		return s
 	}
-	s := ClientStats{
+	s := telemetry.Tier{
 		Broadcasts:      c.broadcasts.Load(),
 		BroadcastAcks:   c.broadcastAcks.Load(),
 		ReadOnlyTxns:    c.roTxns.Load(),

@@ -917,27 +917,7 @@ func (l *Lab) Telemetry() *telemetry.Snapshot {
 				dbPools = append(dbPools, *cs.DB)
 			}
 			if cl := c.Context().DB; cl != nil {
-				ccs := cl.ClientStats()
-				t.Broadcasts += ccs.Broadcasts
-				t.BroadcastAcks += ccs.BroadcastAcks
-				t.ReadOnlyTxns += ccs.ReadOnlyTxns
-				t.SlowEjections += ccs.SlowEjections
-				t.DegradedEntries += ccs.DegradedEntries
-				t.DegradedExits += ccs.DegradedExits
-				t.DegradedRejects += ccs.DegradedRejects
-				t.Degraded = t.Degraded || ccs.Degraded
-				t.Shards = ccs.Shards
-				t.ShardSingle += ccs.ShardSingle
-				t.ShardScatter += ccs.ShardScatter
-				t.ShardBroadcast += ccs.ShardBroadcast
-				t.Shard2PCTxns += ccs.Shard2PCTxns
-				t.QueryCacheHits += ccs.QueryCacheHits
-				t.QueryCacheMisses += ccs.QueryCacheMisses
-				t.QueryCacheInvalidations += ccs.QueryCacheInvalidations
-				t.QueryCacheBypasses += ccs.QueryCacheBypasses
-				t.WALDeltaSyncs += ccs.WALDeltaSyncs
-				t.WALFullSyncs += ccs.WALFullSyncs
-				t.WALDeltaStmts += ccs.WALDeltaStmts
+				t.Add(cl.ClientStats())
 			}
 		}
 		if len(dbPools) > 0 {
@@ -968,29 +948,10 @@ func (l *Lab) Telemetry() *telemetry.Snapshot {
 			t.Commits += es.TxCommits
 			t.Aborts += es.TxAborts
 			// Read-only demarcations: the container's lazy, never-opened
-			// transactions plus any explicit BeginReadOnly the client ran.
+			// transactions; ClientStats below adds any explicit
+			// BeginReadOnly the client ran.
 			t.ReadOnlyTxns += es.TxReadOnly
-			ccs := ec.DB().ClientStats()
-			t.Broadcasts += ccs.Broadcasts
-			t.BroadcastAcks += ccs.BroadcastAcks
-			t.ReadOnlyTxns += ccs.ReadOnlyTxns
-			t.SlowEjections += ccs.SlowEjections
-			t.DegradedEntries += ccs.DegradedEntries
-			t.DegradedExits += ccs.DegradedExits
-			t.DegradedRejects += ccs.DegradedRejects
-			t.Degraded = t.Degraded || ccs.Degraded
-			t.Shards = ccs.Shards
-			t.ShardSingle += ccs.ShardSingle
-			t.ShardScatter += ccs.ShardScatter
-			t.ShardBroadcast += ccs.ShardBroadcast
-			t.Shard2PCTxns += ccs.Shard2PCTxns
-			t.QueryCacheHits += ccs.QueryCacheHits
-			t.QueryCacheMisses += ccs.QueryCacheMisses
-			t.QueryCacheInvalidations += ccs.QueryCacheInvalidations
-			t.QueryCacheBypasses += ccs.QueryCacheBypasses
-			t.WALDeltaSyncs += ccs.WALDeltaSyncs
-			t.WALFullSyncs += ccs.WALFullSyncs
-			t.WALDeltaStmts += ccs.WALDeltaStmts
+			t.Add(ec.DB().ClientStats())
 			dbPools = append(dbPools, es.DB)
 		}
 		ps := sumPools("db-cluster", dbPools)
@@ -1083,29 +1044,15 @@ func (l *Lab) clusterClients() []*cluster.Client {
 }
 
 // aggregateReplicaStats merges the per-replica routing views of N
-// independent cluster clients into one: counters sum, a replica reports
-// healthy only when every client still routes to it, pools sum.
+// independent cluster clients into one (telemetry.Replica.Add).
 func aggregateReplicaStats(clients []*cluster.Client) []telemetry.Replica {
 	var out []telemetry.Replica
-	for ci, cl := range clients {
-		rs := cl.ReplicaStats()
-		if ci == 0 {
-			out = rs
-			continue
-		}
-		for i := range rs {
-			if i >= len(out) {
-				out = append(out, rs[i])
-				continue
-			}
-			out[i].Reads += rs[i].Reads
-			out[i].Writes += rs[i].Writes
-			out[i].Ejections += rs[i].Ejections
-			out[i].LagNanos += rs[i].LagNanos
-			out[i].Healthy = out[i].Healthy && rs[i].Healthy
-			if out[i].Pool != nil && rs[i].Pool != nil {
-				ps := sumPools(out[i].Pool.Name, []pool.Stats{*out[i].Pool, *rs[i].Pool})
-				out[i].Pool = &ps
+	for _, cl := range clients {
+		for i, r := range cl.ReplicaStats() {
+			if i < len(out) {
+				out[i].Add(r)
+			} else {
+				out = append(out, r)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -121,5 +123,65 @@ func TestRunAttachesTierDelta(t *testing.T) {
 	total := lab.Telemetry().Tier("web").Requests
 	if w2 := rep2.Tiers.Tier("web").Requests; w2 <= 0 || w2 >= total {
 		t.Fatalf("window not differenced: run2=%d cumulative=%d", w2, total)
+	}
+}
+
+// TestServletTierSumsClusterCounters: every int64 counter of the servlet
+// tier equals the field-wise sum, over the servlet-side cluster clients,
+// of ClientStats() (plus the containers' own request counts). The fields
+// are enumerated by reflection, so a new cluster counter is covered
+// without editing the test.
+func TestServletTierSumsClusterCounters(t *testing.T) {
+	lab, err := Start(Config{
+		Arch: perfsim.ArchServletSync, Benchmark: perfsim.Auction, Seed: 5,
+		AppReplicas: 2, DBReplicas: 2, DBQueryCache: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lab.Close()
+	for i := range 6 {
+		c := httpclient.New(lab.WebAddr(), 10*time.Second)
+		for _, path := range []string{
+			fmt.Sprintf("/rubis/viewitem?item=%d", 2+i%3),
+			fmt.Sprintf("/rubis/storebid?item=%d&user=3&bid=%d", 2+i%3, 900+i),
+		} {
+			if resp, err := c.Get(path); err != nil || resp.Status != 200 {
+				t.Fatalf("GET %s: %v %v", path, resp, err)
+			}
+		}
+		c.Close()
+	}
+
+	sv := lab.Telemetry().Tier("servlet")
+	if sv == nil {
+		t.Fatal("no servlet tier")
+	}
+	clients := lab.clusterClients()
+	if len(clients) != 2 {
+		t.Fatalf("servlet-side cluster clients = %d, want 2", len(clients))
+	}
+	var want telemetry.Tier
+	wv := reflect.ValueOf(&want).Elem()
+	for _, cl := range clients {
+		cs := reflect.ValueOf(cl.ClientStats())
+		for i := range wv.NumField() {
+			if f := wv.Field(i); f.Kind() == reflect.Int64 {
+				f.SetInt(f.Int() + cs.Field(i).Int())
+			}
+		}
+	}
+	for _, c := range lab.containers {
+		want.Requests += c.Stats().Requests
+	}
+	got := reflect.ValueOf(*sv)
+	for i := range got.NumField() {
+		if f := got.Field(i); f.Kind() == reflect.Int64 && f.Int() != wv.Field(i).Int() {
+			t.Errorf("servlet tier %s = %d, want %d (sum over cluster clients)",
+				got.Type().Field(i).Name, f.Int(), wv.Field(i).Int())
+		}
+	}
+	if sv.Broadcasts == 0 || sv.BroadcastAcks == 0 || sv.QueryCacheMisses == 0 {
+		t.Fatalf("cluster counters idle, the sum checks nothing: %+v", sv)
 	}
 }

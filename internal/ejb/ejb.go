@@ -23,7 +23,6 @@ import (
 	"repro/internal/pool"
 	"repro/internal/rmi"
 	"repro/internal/sqldb"
-	"repro/internal/telemetry"
 )
 
 // EntityDef declares one entity bean: a table, its primary key and the
@@ -175,8 +174,8 @@ func (c *Container) LoadCount() int64 { return c.loads.Load() }
 func (c *Container) StoreCount() int64 { return c.stores.Load() }
 
 // Stats describes the container's load for the cross-tier telemetry: the
-// CMP statement counters, the database pool's aggregate saturation
-// counters, and the per-replica routing breakdown for clustered databases.
+// CMP statement counters and the database pool's aggregate saturation
+// counters.
 type Stats struct {
 	Queries int64 `json:"queries"`
 	Loads   int64 `json:"loads"`
@@ -189,14 +188,13 @@ type Stats struct {
 	// wrote: the lazy demarcation left them without a database transaction,
 	// so their reads were pure MVCC snapshot traffic — no write-order locks,
 	// no broadcast, no replica coordination of any kind.
-	TxReadOnly int64               `json:"tx_readonly"`
-	DB         pool.Stats          `json:"db"`
-	Replicas   []telemetry.Replica `json:"replicas,omitempty"`
+	TxReadOnly int64      `json:"tx_readonly"`
+	DB         pool.Stats `json:"db"`
 }
 
 // Stats snapshots the container.
 func (c *Container) Stats() Stats {
-	s := Stats{
+	return Stats{
 		Queries:    c.queries.Load(),
 		Loads:      c.loads.Load(),
 		Stores:     c.stores.Load(),
@@ -205,10 +203,6 @@ func (c *Container) Stats() Stats {
 		TxReadOnly: c.roCommits.Load(),
 		DB:         c.pool.Stats(),
 	}
-	if c.pool.Replicas() > 1 {
-		s.Replicas = c.pool.ReplicaStats()
-	}
-	return s
 }
 
 // Entity is an activated entity bean instance: a local copy of one row.

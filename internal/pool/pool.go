@@ -449,8 +449,9 @@ func (p *Pool[T]) Close() {
 	}
 }
 
-// Stats is a point-in-time snapshot of a pool's gauges and counters.
-// Counter fields are cumulative; Sub turns two snapshots into a window.
+// Stats is a point-in-time snapshot of a pool's gauges and counters. The
+// int64 fields are the counters, cumulative since the pool was created;
+// Sub turns two snapshots into a window.
 type Stats struct {
 	Name     string `json:"name,omitempty"`
 	Capacity int    `json:"capacity"`
@@ -530,35 +531,19 @@ func (s Stats) Utilization() float64 {
 
 // Sum aggregates snapshots of several pools into one figure — the rule the
 // cluster client uses for its per-replica pools and the core lab for a
-// replicated app tier's connector pools: capacities, gauges and counters
-// sum; latency estimates take the worst pool (cumulative-sample estimates
-// cannot be averaged meaningfully).
+// replicated app tier's connector pools: counters (stats.AddCounters),
+// capacities and gauges sum; latency estimates take the worst pool
+// (cumulative-sample estimates cannot be averaged meaningfully).
 func Sum(name string, pools []Stats) Stats {
 	agg := Stats{Name: name}
 	for _, ps := range pools {
+		stats.AddCounters(&agg, ps, 1)
 		agg.Capacity += ps.Capacity
 		agg.InUse += ps.InUse
 		agg.Idle += ps.Idle
-		agg.Dials += ps.Dials
-		agg.Gets += ps.Gets
-		agg.Waits += ps.Waits
-		agg.WaitNanos += ps.WaitNanos
-		agg.Discards += ps.Discards
-		agg.Retries += ps.Retries
-		agg.WaitTimeouts += ps.WaitTimeouts
-		agg.OpTimeouts += ps.OpTimeouts
-		agg.TimeoutNanos += ps.TimeoutNanos
-		agg.Backoffs += ps.Backoffs
-		agg.BackoffNanos += ps.BackoffNanos
-		if ps.BorrowMeanMillis > agg.BorrowMeanMillis {
-			agg.BorrowMeanMillis = ps.BorrowMeanMillis
-		}
-		if ps.BorrowP95Millis > agg.BorrowP95Millis {
-			agg.BorrowP95Millis = ps.BorrowP95Millis
-		}
-		if ps.BorrowMaxMillis > agg.BorrowMaxMillis {
-			agg.BorrowMaxMillis = ps.BorrowMaxMillis
-		}
+		agg.BorrowMeanMillis = max(agg.BorrowMeanMillis, ps.BorrowMeanMillis)
+		agg.BorrowP95Millis = max(agg.BorrowP95Millis, ps.BorrowP95Millis)
+		agg.BorrowMaxMillis = max(agg.BorrowMaxMillis, ps.BorrowMaxMillis)
 	}
 	return agg
 }
@@ -566,17 +551,6 @@ func Sum(name string, pools []Stats) Stats {
 // Sub returns the counter deltas s−prev, keeping s's gauges and latency
 // figures (which are cumulative-sample estimates, not differentiable).
 func (s Stats) Sub(prev Stats) Stats {
-	d := s
-	d.Dials -= prev.Dials
-	d.Gets -= prev.Gets
-	d.Waits -= prev.Waits
-	d.WaitNanos -= prev.WaitNanos
-	d.Discards -= prev.Discards
-	d.Retries -= prev.Retries
-	d.WaitTimeouts -= prev.WaitTimeouts
-	d.OpTimeouts -= prev.OpTimeouts
-	d.TimeoutNanos -= prev.TimeoutNanos
-	d.Backoffs -= prev.Backoffs
-	d.BackoffNanos -= prev.BackoffNanos
-	return d
+	stats.AddCounters(&s, prev, -1)
+	return s
 }

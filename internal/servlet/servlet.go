@@ -24,7 +24,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/httpd"
 	"repro/internal/pool"
-	"repro/internal/telemetry"
 )
 
 // Context is the shared state handed to every servlet.
@@ -164,13 +163,11 @@ type Container struct {
 }
 
 // Stats describes the container's load for the cross-tier telemetry:
-// requests dispatched to servlets, the database pool's aggregate
-// saturation counters (nil when the container has no database), and the
-// per-replica routing breakdown when the database is a cluster.
+// requests dispatched to servlets and the database pool's aggregate
+// saturation counters (nil when the container has no database).
 type Stats struct {
-	Requests int64               `json:"requests"`
-	DB       *pool.Stats         `json:"db,omitempty"`
-	Replicas []telemetry.Replica `json:"replicas,omitempty"`
+	Requests int64       `json:"requests"`
+	DB       *pool.Stats `json:"db,omitempty"`
 }
 
 // Stats snapshots the container.
@@ -179,9 +176,6 @@ func (c *Container) Stats() Stats {
 	if c.ctx.DB != nil {
 		ps := c.ctx.DB.Stats()
 		s.DB = &ps
-		if c.ctx.DB.Replicas() > 1 {
-			s.Replicas = c.ctx.DB.ReplicaStats()
-		}
 	}
 	return s
 }

@@ -26,18 +26,18 @@ func mvccDB(t *testing.T) *DB {
 // snapshot readers that assert per-statement consistency — run with -race.
 // A reader that ever observes a mid-transaction sum has seen uncommitted
 // state; a reader that observes a sum other than 200 has seen a torn
-// snapshot (one row from before a commit, one from after).
+// snapshot (one row from before a commit, one from after). Readers run
+// until the last writer finishes, so they overlap every write.
 func TestMVCCSnapshotTorture(t *testing.T) {
 	db := mvccDB(t)
 	const writers, readers, rounds = 4, 4, 200
-	var wg sync.WaitGroup
+	var writersWG, readersWG sync.WaitGroup
 	var stop atomic.Bool
 
 	for w := 0; w < writers; w++ {
-		wg.Add(1)
+		writersWG.Add(1)
 		go func(w int) {
-			defer wg.Done()
-			defer stop.Store(true)
+			defer writersWG.Done()
 			s := db.NewSession()
 			defer s.Close()
 			for i := 0; i < rounds; i++ {
@@ -69,9 +69,9 @@ func TestMVCCSnapshotTorture(t *testing.T) {
 	}
 
 	for r := 0; r < readers; r++ {
-		wg.Add(1)
+		readersWG.Add(1)
 		go func() {
-			defer wg.Done()
+			defer readersWG.Done()
 			s := db.NewSession()
 			defer s.Close()
 			for !stop.Load() {
@@ -92,7 +92,9 @@ func TestMVCCSnapshotTorture(t *testing.T) {
 			}
 		}()
 	}
-	wg.Wait()
+	writersWG.Wait()
+	stop.Store(true)
+	readersWG.Wait()
 
 	st := db.MVCCStats()
 	if st.SnapshotReads == 0 || st.LockBypasses == 0 {

@@ -7,6 +7,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 )
@@ -174,3 +175,20 @@ func (c *Counter) Snapshot() map[string]int64 {
 	}
 	return out
 }
+
+// AddCounters adds sign×src to dst in every exported int64 field of the
+// struct type T, leaving every other field alone. It states the stack's
+// counter rule once: an int64 field of a stats snapshot is a counter
+// accumulated since boot, so snapshots of several instances sum (sign 1)
+// and two snapshots of one instance subtract into a window (sign -1).
+// Gauges and labels use other types and are the caller's to combine.
+func AddCounters[T any](dst *T, src T, sign int64) {
+	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src)
+	for i := range d.NumField() {
+		if f := d.Field(i); f.Type() == int64Type && f.CanSet() {
+			f.SetInt(f.Int() + sign*s.Field(i).Int())
+		}
+	}
+}
+
+var int64Type = reflect.TypeFor[int64]()

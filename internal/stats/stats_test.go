@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestReservoirExactStats(t *testing.T) {
@@ -132,5 +133,33 @@ func TestCounterConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Get("k") != 4000 {
 		t.Fatalf("lost increments: %d", c.Get("k"))
+	}
+}
+
+// TestAddCounters: exported int64 fields add or subtract; fields of every
+// other type — int, bool, float64, string, a named int64 type like
+// time.Duration, unexported fields — keep dst's value.
+func TestAddCounters(t *testing.T) {
+	type snap struct {
+		A, B  int64
+		N     int
+		On    bool
+		Ms    float64
+		Label string
+		D     time.Duration
+		c     int64
+	}
+	a := snap{A: 10, B: 20, N: 1, On: true, Ms: 1.5, Label: "a", D: 7, c: 3}
+	b := snap{A: 4, B: 5, N: 9, Ms: 9, Label: "b", D: 9, c: 9}
+
+	sum := a
+	AddCounters(&sum, b, 1)
+	if want := (snap{A: 14, B: 25, N: 1, On: true, Ms: 1.5, Label: "a", D: 7, c: 3}); sum != want {
+		t.Fatalf("sum = %+v, want %+v", sum, want)
+	}
+	diff := a
+	AddCounters(&diff, b, -1)
+	if want := (snap{A: 6, B: 15, N: 1, On: true, Ms: 1.5, Label: "a", D: 7, c: 3}); diff != want {
+		t.Fatalf("diff = %+v, want %+v", diff, want)
 	}
 }

@@ -8,6 +8,15 @@
 // core.Lab builds snapshots and serves them as JSON on /status,
 // workload.Report embeds a windowed delta, and cmd/loadgen decodes the
 // JSON from a remote server.
+//
+// One counter rule covers every snapshot type: an int64 field is a counter
+// accumulated since boot. Counters sum across instances (Tier.Add,
+// Replica.Add) and subtract into a window (Snapshot.Delta), both through
+// stats.AddCounters, so adding a counter means declaring the field and
+// filling it — no list to extend. Gauges use other types and are combined
+// explicitly: Tier.Degraded ORs, Tier.Shards keeps the topology's count,
+// Replica.Healthy ANDs, AppBackend.InFlight passes through, and Pool
+// figures go through pool.Sum and pool.Stats.Sub.
 package telemetry
 
 import (
@@ -17,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/pool"
+	"repro/internal/stats"
 )
 
 // Tier is one tier's counters. The Pool is the tier's client-side pool to
@@ -181,7 +191,7 @@ type AppBackend struct {
 	Ejections int64  `json:"ejections,omitempty"`
 	// InFlight is the balancer's requests-outstanding gauge at snapshot
 	// time — the least-in-flight routing signal.
-	InFlight int64 `json:"in_flight"`
+	InFlight int `json:"in_flight"`
 	// Requests is the backend container's own served count (container-side
 	// view; 0 when the snapshot was taken from the balancer side only).
 	Requests int64 `json:"requests,omitempty"`
@@ -213,104 +223,78 @@ func (s *Snapshot) Tier(name string) *Tier {
 	return nil
 }
 
-// Delta returns the per-tier counter differences s−prev (for counters
-// accumulated since boot), keeping s's gauges. Tiers missing from prev
-// pass through unchanged.
+// Add sums o into t, the rule for folding several instances into one
+// tier figure: counters sum, Degraded ORs (any instance read-only makes
+// the tier degraded), Shards keeps the shard-group count every instance
+// shares, pools sum. Name and Downstream stay t's.
+func (t *Tier) Add(o Tier) {
+	stats.AddCounters(t, o, 1)
+	t.Degraded = t.Degraded || o.Degraded
+	t.Shards = max(t.Shards, o.Shards)
+	t.Pool = addPool(t.Pool, o.Pool)
+}
+
+// Add sums o into r, the rule for merging several clients' views of one
+// replica: counters sum, the replica is healthy only when every view
+// routes to it, pools sum.
+func (r *Replica) Add(o Replica) {
+	stats.AddCounters(r, o, 1)
+	r.Healthy = r.Healthy && o.Healthy
+	r.Pool = addPool(r.Pool, o.Pool)
+}
+
+// Delta returns the per-tier, per-replica and per-app-backend counter
+// differences s−prev, keeping s's gauges. Entries missing from prev pass
+// through unchanged.
 func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
 	out := &Snapshot{Arch: s.Arch, Benchmark: s.Benchmark}
+	if prev == nil {
+		prev = &Snapshot{}
+	}
 	for _, t := range s.Tiers {
-		if prev != nil {
-			if pt := prev.Tier(t.Name); pt != nil {
-				t.Requests -= pt.Requests
-				t.Queries -= pt.Queries
-				t.Loads -= pt.Loads
-				t.Stores -= pt.Stores
-				t.Bytes -= pt.Bytes
-				t.PreparedExecs -= pt.PreparedExecs
-				t.TextExecs -= pt.TextExecs
-				t.PlanHits -= pt.PlanHits
-				t.PlanMisses -= pt.PlanMisses
-				t.Commits -= pt.Commits
-				t.Aborts -= pt.Aborts
-				t.DeadlockTimeouts -= pt.DeadlockTimeouts
-				t.TxnLockWaitNanos -= pt.TxnLockWaitNanos
-				t.SnapshotReads -= pt.SnapshotReads
-				t.LockBypasses -= pt.LockBypasses
-				t.SnapshotRefreshes -= pt.SnapshotRefreshes
-				t.Broadcasts -= pt.Broadcasts
-				t.BroadcastAcks -= pt.BroadcastAcks
-				t.ReadOnlyTxns -= pt.ReadOnlyTxns
-				t.SlowEjections -= pt.SlowEjections
-				t.DegradedEntries -= pt.DegradedEntries
-				t.DegradedExits -= pt.DegradedExits
-				t.DegradedRejects -= pt.DegradedRejects
-				t.ShardSingle -= pt.ShardSingle
-				t.ShardScatter -= pt.ShardScatter
-				t.ShardBroadcast -= pt.ShardBroadcast
-				t.Shard2PCTxns -= pt.Shard2PCTxns
-				t.QueryCacheHits -= pt.QueryCacheHits
-				t.QueryCacheMisses -= pt.QueryCacheMisses
-				t.QueryCacheInvalidations -= pt.QueryCacheInvalidations
-				t.QueryCacheBypasses -= pt.QueryCacheBypasses
-				t.PageCacheHits -= pt.PageCacheHits
-				t.PageCacheMisses -= pt.PageCacheMisses
-				t.PageCacheInvalidations -= pt.PageCacheInvalidations
-				t.PageCacheBypasses -= pt.PageCacheBypasses
-				t.WALAppends -= pt.WALAppends
-				t.WALFsyncs -= pt.WALFsyncs
-				t.WALBytes -= pt.WALBytes
-				t.WALCheckpoints -= pt.WALCheckpoints
-				t.WALRecoveries -= pt.WALRecoveries
-				t.WALDeltaSyncs -= pt.WALDeltaSyncs
-				t.WALFullSyncs -= pt.WALFullSyncs
-				t.WALDeltaStmts -= pt.WALDeltaStmts
-				if t.Pool != nil && pt.Pool != nil {
-					d := t.Pool.Sub(*pt.Pool)
-					t.Pool = &d
-				}
-			}
+		if pt := prev.Tier(t.Name); pt != nil {
+			stats.AddCounters(&t, *pt, -1)
+			t.Pool = subPool(t.Pool, pt.Pool)
 		}
 		out.Tiers = append(out.Tiers, t)
 	}
 	for _, r := range s.Replicas {
-		if prev != nil {
-			if pr := prev.Replica(r.ID); pr != nil {
-				r.Reads -= pr.Reads
-				r.Writes -= pr.Writes
-				r.Ejections -= pr.Ejections
-				r.LagNanos -= pr.LagNanos
-				r.Queries -= pr.Queries
-				r.WALAppends -= pr.WALAppends
-				r.WALFsyncs -= pr.WALFsyncs
-				r.WALBytes -= pr.WALBytes
-				r.Checkpoints -= pr.Checkpoints
-				r.Recoveries -= pr.Recoveries
-				if r.Pool != nil && pr.Pool != nil {
-					d := r.Pool.Sub(*pr.Pool)
-					r.Pool = &d
-				}
-			}
+		if pr := prev.Replica(r.ID); pr != nil {
+			stats.AddCounters(&r, *pr, -1)
+			r.Pool = subPool(r.Pool, pr.Pool)
 		}
 		out.Replicas = append(out.Replicas, r)
 	}
 	for _, a := range s.AppBackends {
-		if prev != nil {
-			if pa := prev.AppBackend(a.ID); pa != nil {
-				a.Routed -= pa.Routed
-				a.Affinity -= pa.Affinity
-				a.Failovers -= pa.Failovers
-				a.Errors -= pa.Errors
-				a.Ejections -= pa.Ejections
-				a.Requests -= pa.Requests
-				if a.Pool != nil && pa.Pool != nil {
-					d := a.Pool.Sub(*pa.Pool)
-					a.Pool = &d
-				}
-			}
+		if pa := prev.AppBackend(a.ID); pa != nil {
+			stats.AddCounters(&a, *pa, -1)
+			a.Pool = subPool(a.Pool, pa.Pool)
 		}
 		out.AppBackends = append(out.AppBackends, a)
 	}
 	return out
+}
+
+// addPool sums two optional pool figures under a's name.
+func addPool(a, b *pool.Stats) *pool.Stats {
+	if a == nil {
+		return b
+	}
+	if b == nil {
+		return a
+	}
+	sum := pool.Sum(a.Name, []pool.Stats{*a, *b})
+	return &sum
+}
+
+// subPool windows an optional pool figure; without both ends it passes
+// cur through.
+func subPool(cur, prev *pool.Stats) *pool.Stats {
+	if cur == nil || prev == nil {
+		return cur
+	}
+	d := cur.Sub(*prev)
+	return &d
 }
 
 // AppBackend returns the application backend with the given id, or nil.

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -147,5 +148,97 @@ func TestDeltaAndFormatDegradedCounters(t *testing.T) {
 	}
 	if !strings.Contains(out, "5 pool-wait timeouts, 7 backoffs") {
 		t.Fatalf("missing pool fault counters:\n%s", out)
+	}
+}
+
+// setCounters sets every int64 field of the struct *p to f(field index).
+func setCounters(p any, f func(i int) int64) {
+	v := reflect.ValueOf(p).Elem()
+	for i := range v.NumField() {
+		if fv := v.Field(i); fv.Kind() == reflect.Int64 {
+			fv.SetInt(f(i))
+		}
+	}
+}
+
+// checkCounters asserts every int64 field of the struct got equals
+// want(field index), and that the struct has counters to check at all.
+func checkCounters(t *testing.T, what string, got any, want func(i int) int64) {
+	t.Helper()
+	v := reflect.ValueOf(got)
+	n := 0
+	for i := range v.NumField() {
+		if fv := v.Field(i); fv.Kind() == reflect.Int64 {
+			n++
+			if fv.Int() != want(i) {
+				t.Errorf("%s: %s = %d, want %d", what, v.Type().Field(i).Name, fv.Int(), want(i))
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatalf("%s: no int64 counters found", what)
+	}
+}
+
+// TestEveryCounterWindowsAndSums enumerates the int64 fields of Tier,
+// Replica and AppBackend by reflection, so a new counter is covered
+// without editing the test: Delta subtracts each one, Add sums each one,
+// and the gauges pass through as the counter rule specifies.
+func TestEveryCounterWindowsAndSums(t *testing.T) {
+	cur := func(i int) int64 { return int64(1000 + 10*i) }
+	prev := func(i int) int64 { return int64(1 + i) }
+	diff := func(i int) int64 { return cur(i) - prev(i) }
+	sum := func(i int) int64 { return cur(i) + prev(i) }
+
+	tc := Tier{Name: "servlet", Downstream: "db", Degraded: true, Shards: 2,
+		Pool: &pool.Stats{Name: "db", Capacity: 8, InUse: 3, Gets: 50}}
+	tp := Tier{Name: "servlet", Pool: &pool.Stats{Name: "db", Capacity: 8, InUse: 5, Gets: 20}}
+	rc := Replica{ID: 1, Shard: 1, Addr: "a:1", Healthy: true, Pool: &pool.Stats{Gets: 9}}
+	rp := Replica{ID: 1, Healthy: false, Pool: &pool.Stats{Gets: 4}}
+	ac := AppBackend{ID: "a0", Healthy: true, InFlight: 3, Pool: &pool.Stats{Gets: 7}}
+	ap := AppBackend{ID: "a0", InFlight: 9, Pool: &pool.Stats{Gets: 2}}
+	setCounters(&tc, cur)
+	setCounters(&tp, prev)
+	setCounters(&rc, cur)
+	setCounters(&rp, prev)
+	setCounters(&ac, cur)
+	setCounters(&ap, prev)
+
+	after := &Snapshot{Tiers: []Tier{tc}, Replicas: []Replica{rc}, AppBackends: []AppBackend{ac}}
+	before := &Snapshot{Tiers: []Tier{tp}, Replicas: []Replica{rp}, AppBackends: []AppBackend{ap}}
+	d := after.Delta(before)
+	dt, dr, da := d.Tiers[0], d.Replicas[0], d.AppBackends[0]
+	checkCounters(t, "Tier delta", dt, diff)
+	checkCounters(t, "Replica delta", dr, diff)
+	checkCounters(t, "AppBackend delta", da, diff)
+	if !dt.Degraded || dt.Shards != 2 || dt.Downstream != "db" || dt.Pool.Gets != 30 || dt.Pool.InUse != 3 {
+		t.Errorf("Tier delta gauges: %+v pool %+v", dt, dt.Pool)
+	}
+	if !dr.Healthy || dr.Addr != "a:1" || dr.Pool.Gets != 5 {
+		t.Errorf("Replica delta gauges: %+v", dr)
+	}
+	if !da.Healthy || da.InFlight != 3 || da.Pool.Gets != 5 {
+		t.Errorf("AppBackend delta gauges: %+v", da)
+	}
+	checkCounters(t, "Tier after", after.Tiers[0], cur) // Delta leaves its inputs alone
+
+	// Add: counters sum; Degraded ORs, Shards keeps the shard count, the
+	// receiver's labels stay, pools sum (an absent pool takes the other's).
+	st := tp
+	st.Add(tc)
+	checkCounters(t, "Tier sum", st, sum)
+	if !st.Degraded || st.Shards != 2 || st.Downstream != "" || st.Pool.Gets != 70 || st.Pool.Capacity != 16 {
+		t.Errorf("Tier sum gauges: %+v pool %+v", st, st.Pool)
+	}
+	nopool := Tier{}
+	nopool.Add(tc)
+	if nopool.Pool == nil || nopool.Pool.Gets != 50 {
+		t.Errorf("Tier sum into an absent pool: %+v", nopool.Pool)
+	}
+	sr := rc
+	sr.Add(rp)
+	checkCounters(t, "Replica sum", sr, sum)
+	if sr.Healthy || sr.ID != 1 || sr.Addr != "a:1" || sr.Pool.Gets != 13 {
+		t.Errorf("Replica sum gauges (healthy must AND): %+v", sr)
 	}
 }
